@@ -12,6 +12,7 @@ test:
 
 doctest:
 	$(PYTHON) -m pytest --doctest-modules \
+	    src/repro/durable.py \
 	    src/repro/dynamics/rng.py \
 	    src/repro/dynamics/batched.py \
 	    src/repro/execution/backoff.py \

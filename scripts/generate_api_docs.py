@@ -25,6 +25,7 @@ MODULES = [
     "repro.dynamics.multiopinion", "repro.dynamics.noise", "repro.dynamics.zealots",
     "repro.dynamics.adversary", "repro.dynamics.graphs", "repro.dynamics.heterogeneous",
     "repro.dynamics.rng", "repro.dynamics.scenarios",
+    "repro.durable",
     "repro.telemetry.recorder", "repro.telemetry.jsonl",
     "repro.telemetry.columnar",
     "repro.telemetry.resources", "repro.telemetry.heartbeat",

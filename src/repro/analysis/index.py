@@ -20,10 +20,11 @@ rebuild from the CLI.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
+
+from repro import durable
 
 __all__ = [
     "INDEX_FILENAME",
@@ -91,15 +92,8 @@ def load_trace_index(directory: Union[str, Path]) -> Dict[str, Any]:
 
 def write_trace_index(directory: Union[str, Path], index: Dict[str, Any]) -> Path:
     """Atomically publish an index document (tmp + fsync + rename)."""
-    target = index_path(directory)
-    tmp = target.with_name(target.name + ".tmp")
-    with tmp.open("w") as handle:
-        json.dump(index, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
-    return target
+    data = (json.dumps(index, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    return durable.atomic_write_bytes(index_path(directory), data)
 
 
 def _entry_for(path: Path, identity: Tuple[int, int]) -> Dict[str, Any]:

@@ -6,13 +6,11 @@ at least as advanced as anything the service has acknowledged.  Restarting
 after a crash — mid-append, mid-compaction, ``kill -9`` — replays the
 journal back to exactly the acknowledged state:
 
-- **Framing** mirrors the columnar trace container
-  (:mod:`repro.telemetry.columnar`): each record is
-  ``b"RJNL" | body_len:u32 | body(JSON) | crc32(body):u32 | rec_len:u32``,
-  little-endian.  A torn final record (crash mid-``write``) fails its
-  length or CRC check and is salvaged away — the journal is truncated to
-  the longest valid prefix on the next open, and every complete record
-  survives.
+- **Framing** is the :mod:`repro.durable` frame with magic ``RJNL`` and a
+  JSON body, the same codec as the columnar trace container.  A torn
+  final record (crash mid-``write``) fails its length or CRC check and is
+  salvaged away — the journal is truncated to the longest valid prefix on
+  the next open, and every complete record survives.
 - **Commits** are atomic at the record level: the frame is written in one
   ``write`` call, flushed, and ``fsync``'d before the transition is
   applied in memory or acknowledged to a client.
@@ -54,15 +52,13 @@ glance, never silently folded into ``running``.
 from __future__ import annotations
 
 import json
-import os
-import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro import durable
 from repro.execution import faults
 
 __all__ = [
@@ -108,10 +104,6 @@ LEGAL_TRANSITIONS: Dict[str, frozenset] = {
     "cancelled": frozenset(),
 }
 
-_U32 = struct.Struct("<I")
-_HEAD_LEN = len(JOURNAL_MAGIC) + _U32.size          # magic + body_len
-_TAIL_LEN = 2 * _U32.size                            # crc32 + rec_len
-
 #: Job fields a transition record may update (beyond ``state``).
 _MUTABLE_FIELDS = frozenset({
     "attempt", "retries", "max_retries", "not_before", "backoff_s",
@@ -128,52 +120,24 @@ class JobStoreError(RuntimeError):
 
 
 def frame_record(body: bytes) -> bytes:
-    """Frame one journal record: magic, length, body, CRC, total length."""
-    rec_len = _HEAD_LEN + len(body) + _TAIL_LEN
-    return b"".join((
-        JOURNAL_MAGIC,
-        _U32.pack(len(body)),
-        body,
-        _U32.pack(zlib.crc32(body) & 0xFFFFFFFF),
-        _U32.pack(rec_len),
-    ))
+    """Frame one journal record (see :func:`repro.durable.frame`)."""
+    return durable.frame(JOURNAL_MAGIC, body)
 
 
 def iter_journal_records(data: bytes) -> Iterator[Tuple[Dict[str, Any], int]]:
     """Yield ``(record, end_offset)`` for the longest valid journal prefix.
 
-    Walks frames from offset 0; stops at the first torn or corrupt frame
-    (truncated header/body, bad CRC, unparseable JSON) — that is the
-    salvage boundary, exactly the ``telemetry.columnar`` idiom.  A frame
-    whose magic is wrong at offset 0 means the file is not a journal at
-    all and raises :class:`JobStoreError`; mid-file it ends the walk like
-    any other torn tail.  A *valid* frame whose record declares a newer
-    ``schema`` raises :class:`JobStoreError`: version skew must refuse,
-    never silently drop job state.
+    Walks frames from offset 0 (:func:`repro.durable.scan_frames`); the
+    first torn or corrupt frame, or one whose body is not a JSON object,
+    is the salvage boundary.  A frame whose magic is wrong at offset 0
+    means the file is not a journal at all and raises
+    :class:`JobStoreError`; mid-file it ends the walk like any other torn
+    tail.  A *valid* frame whose record declares a newer ``schema`` raises
+    :class:`JobStoreError`: version skew must refuse, never silently drop
+    job state.
     """
-    size = len(data)
-    pos = 0
-    while pos < size:
-        if size - pos < _HEAD_LEN:
-            return  # torn header
-        magic = bytes(data[pos:pos + len(JOURNAL_MAGIC)])
-        if magic != JOURNAL_MAGIC:
-            if pos == 0:
-                raise JobStoreError(
-                    f"not a job journal: bad magic {magic!r} at offset 0 "
-                    f"(expected {JOURNAL_MAGIC!r})"
-                )
-            return  # garbage tail
-        (body_len,) = _U32.unpack(data[pos + len(JOURNAL_MAGIC):pos + _HEAD_LEN])
-        end = pos + _HEAD_LEN + body_len + _TAIL_LEN
-        if end > size:
-            return  # torn body/tail
-        body = bytes(data[pos + _HEAD_LEN:pos + _HEAD_LEN + body_len])
-        stored_crc, stored_len = struct.unpack(
-            "<II", data[pos + _HEAD_LEN + body_len:end]
-        )
-        if stored_crc != (zlib.crc32(body) & 0xFFFFFFFF) or stored_len != end - pos:
-            return  # corrupt record: salvage boundary
+    scan = durable.scan_frames(data, JOURNAL_MAGIC)
+    for body, _, end in scan:
         try:
             record = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -189,7 +153,11 @@ def iter_journal_records(data: bytes) -> Iterator[Tuple[Dict[str, Any], int]]:
                 f"start fresh"
             )
         yield record, end
-        pos = end
+    if scan.stop == 0 and scan.problem == durable.BAD_MAGIC:
+        raise JobStoreError(
+            f"not a job journal: bad magic {bytes(data[:len(JOURNAL_MAGIC)])!r} "
+            f"at offset 0 (expected {JOURNAL_MAGIC!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +324,7 @@ class JobStore:
             return
         valid_end = 0
         for record, end in iter_journal_records(data):
-            self._apply(record, strict=False)
+            self._apply(record)
             valid_end = end
         if valid_end < len(data):
             self.salvaged_bytes = len(data) - valid_end
@@ -366,14 +334,13 @@ class JobStore:
                 # definition unacknowledged, so nothing is lost).
                 with open(self.journal_path, "r+b") as handle:
                     handle.truncate(valid_end)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                    durable.sync(handle)
 
     # -- record application ----------------------------------------------
 
-    def _apply(self, record: Dict[str, Any], *, strict: bool) -> Optional[Job]:
+    def _apply(self, record: Dict[str, Any]) -> Optional[Job]:
         seq = int(record.get("seq", 0))
-        if seq <= self._seq and not strict:
+        if seq <= self._seq:
             # Idempotent replay: at-or-below the applied watermark means the
             # record (or its effect, via the snapshot) is already in.
             self.replay_skipped += 1
@@ -397,24 +364,15 @@ class JobStore:
                 self._seq = max(self._seq, seq)
                 self._bump_next_job(job_id)
                 return job
-            if strict:
-                raise JobStoreError(f"unknown job {job_id!r}")
             self.replay_skipped += 1
             self._seq = max(self._seq, seq)
             return None
         if to == "queued" and "spec" in fields:
             # Duplicate submit for an existing id: replay-only, skip.
-            if strict:
-                raise JobStoreError(f"job {job_id!r} already exists")
             self.replay_skipped += 1
             self._seq = max(self._seq, seq)
             return job
         if to not in LEGAL_TRANSITIONS.get(job.state, frozenset()):
-            if strict:
-                raise JobStoreError(
-                    f"illegal transition {job.state!r} -> {to!r} for job "
-                    f"{job_id!r}"
-                )
             self.replay_skipped += 1
             self._seq = max(self._seq, seq)
             return job
@@ -441,17 +399,12 @@ class JobStore:
         frame = frame_record(
             json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
         )
-        if faults.should_trip("jobstore:mid_commit"):
-            # Deterministic torn commit: half the frame reaches the disk,
-            # then the process dies.  Restart must salvage the torn tail
-            # and recover every previously committed record.
-            self._handle.write(frame[: len(frame) // 2])
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            faults.trip("jobstore:mid_commit")
+        # Deterministic torn commit: half the frame reaches the disk, then
+        # the process dies.  Restart must salvage the torn tail and recover
+        # every previously committed record.
+        durable.tear(self._handle, frame, "jobstore:mid_commit")
         self._handle.write(frame)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        durable.sync(self._handle)
 
     def _commit(self, job_id: str, to: str, at: float, fields: Dict[str, Any]) -> Job:
         record = {
@@ -463,7 +416,7 @@ class JobStore:
             "fields": fields,
         }
         self._append(record)
-        job = self._apply(record, strict=True)
+        job = self._apply(record)
         assert job is not None
         self._maybe_compact()
         return job
@@ -503,6 +456,13 @@ class JobStore:
             unknown = set(fields) - _MUTABLE_FIELDS
             if unknown:
                 raise JobStoreError(f"unknown job fields {sorted(unknown)!r}")
+            # Refuse before journaling: a refused record on disk would share
+            # its seq with the next commit, which replay would then skip.
+            state = self._jobs[job_id].state
+            if to not in LEGAL_TRANSITIONS[state]:
+                raise JobStoreError(
+                    f"illegal transition {state!r} -> {to!r} for job {job_id!r}"
+                )
             return self._commit(
                 job_id, to, time.time() if at is None else at, fields
             )
@@ -563,19 +523,12 @@ class JobStore:
                 "next_job": self._next_job,
                 "jobs": {job_id: job.to_dict() for job_id, job in self._jobs.items()},
             }
-            tmp = self.snapshot_path.with_suffix(".json.tmp")
-            with open(tmp, "w") as handle:
-                json.dump(snapshot, handle, sort_keys=True, indent=None)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.snapshot_path)
+            durable.atomic_write_bytes(
+                self.snapshot_path, json.dumps(snapshot, sort_keys=True).encode()
+            )
             faults.crashpoint("jobstore:mid_compact")
             self._handle.close()
-            jtmp = self.journal_path.with_suffix(".journal.tmp")
-            with open(jtmp, "wb") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(jtmp, self.journal_path)
+            durable.atomic_write_bytes(self.journal_path, b"")
             self._handle = open(self.journal_path, "ab")
 
     def close(self) -> None:

@@ -34,6 +34,8 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro import durable
+
 __all__ = [
     "RESULT_NAME",
     "SpecError",
@@ -259,13 +261,8 @@ def execute_job(spec: Dict[str, Any], jobdir, *, attempt: int = 1) -> Dict[str, 
 
 
 def _publish_result(jobdir: Path, payload: Dict[str, Any]) -> None:
-    target = result_path(jobdir)
-    tmp = target.with_suffix(".json.tmp")
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
+    data = json.dumps(payload, sort_keys=True).encode("utf-8")
+    durable.atomic_write_bytes(result_path(jobdir), data)
 
 
 def job_worker_main(spec: Dict[str, Any], jobdir: str, attempt: int) -> None:

@@ -14,19 +14,18 @@ consumer of :func:`~repro.telemetry.jsonl.read_trace` /
 :func:`~repro.telemetry.jsonl.validate_trace` works on either format
 unchanged (both sniff the ``RCOL`` magic and delegate here).
 
-Container layout — a flat sequence of self-delimiting chunks::
+Container layout — a flat sequence of :mod:`repro.durable` frames with
+magic ``RCOL``, one chunk per frame, whose body is::
 
-    chunk := "RCOL" | body_len:u32 | body | crc32(body):u32 | chunk_len:u32
     body  := meta_len:u32 | meta(JSON) | payload
 
 All integers are little-endian.  ``meta`` describes the payload: either a
 ``{"kind": "json", "count": N}`` chunk whose payload is ``N`` JSON lines,
 or a ``{"kind": "rounds", "rows": N, "columns": [...]}`` chunk whose
-payload is the concatenated presence masks and column buffers.  The CRC
-detects corruption mid-file; the trailing ``chunk_len`` makes the chunk
-walkable from either end.  Integer-valued fields keep their JSON int-ness
-through an ``int64`` column (or an int-mask on promoted float columns),
-so ``jsonl → columnar → jsonl`` reproduces the original bytes.
+payload is the concatenated presence masks and column buffers.
+Integer-valued fields keep their JSON int-ness through an ``int64`` column
+(or an int-mask on promoted float columns), so ``jsonl → columnar →
+jsonl`` reproduces the original bytes.
 
 Durability matches the JSONL sink contract, at chunk granularity: the
 writer streams to ``<path>.tmp`` (one write per chunk), renames into
@@ -44,13 +43,13 @@ import json
 import mmap
 import os
 import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro import durable
 from repro.execution import faults
 from repro.telemetry.jsonl import (
     COLUMNAR_MAGIC,
@@ -90,8 +89,6 @@ TRACE_FORMATS = ("jsonl", "columnar")
 """Recognised ``--trace-format`` values, in default-first order."""
 
 _U32 = struct.Struct("<I")
-_HEAD_LEN = len(COLUMNAR_MAGIC) + _U32.size          # magic + body_len
-_FOOT_LEN = 2 * _U32.size                            # crc + chunk_len
 # json.dumps with a fresh encoder per call is the cost the JSONL satellite
 # fix removed; bind one encoder here too.
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
@@ -111,16 +108,8 @@ _I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 def _frame(meta: Dict[str, Any], payload: bytes) -> bytes:
     meta_bytes = _META_ENCODE(meta).encode("utf-8")
-    body = _U32.pack(len(meta_bytes)) + meta_bytes + payload
-    chunk_len = _HEAD_LEN + len(body) + _FOOT_LEN
-    return b"".join(
-        (
-            COLUMNAR_MAGIC,
-            _U32.pack(len(body)),
-            body,
-            _U32.pack(zlib.crc32(body)),
-            _U32.pack(chunk_len),
-        )
+    return durable.frame(
+        COLUMNAR_MAGIC, _U32.pack(len(meta_bytes)) + meta_bytes + payload
     )
 
 
@@ -204,58 +193,45 @@ def _encode_rounds_chunk(records: List[Dict[str, Any]]) -> bytes:
 # ----------------------------------------------------------------------
 
 
-def _iter_chunks(
-    data, size: int, salvage: bool
-) -> Iterator[Tuple[Dict[str, Any], Any, int]]:
-    """Yield ``(meta, payload, payload_offset)`` per chunk, in file order.
+def _iter_chunks(data, salvage: bool) -> Iterator[Tuple[Dict[str, Any], bytes]]:
+    """Yield ``(meta, payload)`` per chunk, in file order.
 
-    ``data`` is any buffer (bytes or mmap).  A torn tail, bad magic, CRC
-    mismatch, or undecodable meta ends the walk in salvage mode and raises
-    ``ValueError`` otherwise — mirroring the JSONL reader's torn-line
-    semantics at chunk granularity.
+    ``data`` is any buffer (bytes or mmap).  A frame that
+    :func:`repro.durable.scan_frames` rejects, or a chunk whose meta block
+    does not decode, ends the walk in salvage mode and raises
+    ``ValueError`` naming its byte offset otherwise — the JSONL reader's
+    torn-line semantics at chunk granularity.
     """
+    scan = durable.scan_frames(data, COLUMNAR_MAGIC)
+    for body, start, _ in scan:
+        try:
+            meta_len, meta = _decode_meta(body)
+        except ValueError as problem:
+            if salvage:
+                return
+            raise ValueError(f"columnar trace chunk at byte {start}: {problem}")
+        yield meta, body[_U32.size + meta_len:]
+    if scan.problem is not None and not salvage:
+        raise ValueError(f"columnar trace chunk at byte {scan.stop}: {scan.problem}")
 
-    class _Corrupt(Exception):
-        pass
 
-    pos = 0
+def _decode_meta(body: bytes) -> Tuple[int, Dict[str, Any]]:
+    """Split a chunk body's meta block off: ``(meta_len, meta)``."""
+    if len(body) < _U32.size:
+        raise ValueError("chunk body too short for its meta block")
+    (meta_len,) = _U32.unpack_from(body)
+    if _U32.size + meta_len > len(body):
+        raise ValueError("meta block overruns the chunk body")
     try:
-        while pos < size:
-            if size - pos < _HEAD_LEN + _FOOT_LEN:
-                raise _Corrupt("torn chunk header (truncated file?)")
-            if bytes(data[pos:pos + len(COLUMNAR_MAGIC)]) != COLUMNAR_MAGIC:
-                raise _Corrupt("bad magic (not a chunk boundary)")
-            (body_len,) = _U32.unpack(
-                data[pos + len(COLUMNAR_MAGIC):pos + _HEAD_LEN]
-            )
-            end = pos + _HEAD_LEN + body_len + _FOOT_LEN
-            if end > size:
-                raise _Corrupt("torn chunk body (truncated file?)")
-            body = bytes(data[pos + _HEAD_LEN:pos + _HEAD_LEN + body_len])
-            (crc,) = _U32.unpack(data[end - _FOOT_LEN:end - _U32.size])
-            (chunk_len,) = _U32.unpack(data[end - _U32.size:end])
-            if chunk_len != end - pos or zlib.crc32(body) != crc:
-                raise _Corrupt("CRC or length mismatch (corrupt chunk)")
-            if len(body) < _U32.size:
-                raise _Corrupt("chunk body too short for its meta block")
-            (meta_len,) = _U32.unpack(body[:_U32.size])
-            if _U32.size + meta_len > len(body):
-                raise _Corrupt("meta block overruns the chunk body")
-            try:
-                meta = json.loads(body[_U32.size:_U32.size + meta_len])
-            except ValueError:
-                raise _Corrupt("meta block is not valid JSON")
-            if meta.get("v") != COLUMNAR_FORMAT_VERSION:
-                raise _Corrupt(
-                    f"unsupported container version {meta.get('v')!r} "
-                    f"(expected {COLUMNAR_FORMAT_VERSION})"
-                )
-            payload = body[_U32.size + meta_len:]
-            yield meta, payload, pos + _HEAD_LEN + _U32.size + meta_len
-            pos = end
-    except _Corrupt as problem:
-        if not salvage:
-            raise ValueError(f"columnar trace chunk at byte {pos}: {problem}")
+        meta = json.loads(body[_U32.size:_U32.size + meta_len])
+    except ValueError:
+        raise ValueError("meta block is not valid JSON") from None
+    if meta.get("v") != COLUMNAR_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported container version {meta.get('v')!r} "
+            f"(expected {COLUMNAR_FORMAT_VERSION})"
+        )
+    return meta_len, meta
 
 
 def _decode_round_columns(
@@ -353,10 +329,9 @@ def _decode_json_chunk(meta: Dict[str, Any], payload: bytes) -> List[Dict[str, A
 def _open_buffer(path: Union[str, Path]):
     """Memory-map ``path`` read-only; fall back to bytes for empty files."""
     with Path(path).open("rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        if size == 0:
-            return b"", 0
-        return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ), size
+        if os.fstat(handle.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 def read_columnar_trace(
@@ -370,10 +345,10 @@ def read_columnar_trace(
     and the preceding records are returned; strictly, it raises
     ``ValueError`` naming the offending byte offset.
     """
-    data, size = _open_buffer(path)
+    data = _open_buffer(path)
     records: List[Dict[str, Any]] = []
     try:
-        for meta, payload, _ in _iter_chunks(data, size, salvage):
+        for meta, payload in _iter_chunks(data, salvage):
             if meta.get("kind") == "rounds":
                 records.extend(_decode_rounds_chunk(meta, payload))
             elif meta.get("kind") == "json":
@@ -438,7 +413,6 @@ class ColumnarTraceWriter(TraceWriterBase):
         self.chunk_rounds = chunk_rounds
         self.chunks_written = 0
         self._path = Path(target)
-        self._tmp_path: Optional[Path] = None
         self._file: Optional[IO[bytes]] = None
         self._pending: List[Dict[str, Any]] = []
         self._closed = False
@@ -463,17 +437,11 @@ class ColumnarTraceWriter(TraceWriterBase):
 
     def _write_chunk(self, frame: bytes) -> None:
         if self._file is None:
-            self._tmp_path = self._path.with_name(self._path.name + ".tmp")
             # Unbuffered: one write(2) per chunk, so every completed chunk
             # reaches the OS as it is written (same salvage story as the
             # JSONL sink, at chunk granularity).
-            self._file = self._tmp_path.open("wb", buffering=0)
-        if faults.should_trip("trace:mid_write"):
-            # A deterministically torn chunk: half the frame, durable on
-            # disk, then death — what salvage-prefix recovery exists for.
-            self._file.write(frame[: max(1, len(frame) // 2)])
-            self._fsync()
-            faults.trip("trace:mid_write")
+            self._file = durable.open_stream(self._path)
+        durable.tear(self._file, frame, "trace:mid_write")
         self._file.write(frame)
         self.chunks_written += 1
         if faults.should_trip("trace:after_write"):
@@ -482,11 +450,7 @@ class ColumnarTraceWriter(TraceWriterBase):
 
     def _fsync(self) -> None:
         if self._file is not None:
-            self._file.flush()
-            try:
-                os.fsync(self._file.fileno())
-            except (OSError, ValueError):  # pragma: no cover - exotic targets
-                pass
+            durable.sync(self._file, best_effort=True)
 
     def flush(self) -> None:
         """Drain buffered rounds into a chunk, then flush + fsync.
@@ -509,9 +473,7 @@ class ColumnarTraceWriter(TraceWriterBase):
         self._fsync()
         self._file.close()
         self._file = None
-        if self._tmp_path is not None:
-            os.replace(self._tmp_path, self._path)
-            self._tmp_path = None
+        durable.publish(self._path)
 
 
 def open_trace_writer(
@@ -564,8 +526,6 @@ def write_trace_records(
     fsynced, and renamed into place — the write discipline the supervisor's
     merged-trace publisher and the converters share.
     """
-    target = Path(target)
-    tmp = target.with_name(target.name + ".tmp")
     if trace_format == "jsonl":
         payload = "".join(_ENCODE(record) + "\n" for record in records).encode("utf-8")
         frames = [payload]
@@ -589,12 +549,7 @@ def write_trace_records(
         raise ValueError(
             f"unknown trace format {trace_format!r} (expected one of {TRACE_FORMATS})"
         )
-    with tmp.open("wb") as handle:
-        for frame in frames:
-            handle.write(frame)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
+    durable.atomic_write_bytes(target, b"".join(frames))
 
 
 def jsonl_to_columnar(
@@ -641,20 +596,22 @@ def columnar_to_jsonl(
 def columnar_tail_round(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
     """The last ``round`` record of a columnar trace, without a full decode.
 
-    Walks chunk *headers* only (a few dozen bytes per chunk, skipping
-    payloads via their declared lengths) to find the final chunk holding
-    round records, then decodes just that chunk.  Torn tails — the live
-    ``.tmp`` of a running writer — simply end the walk, so tailing a
-    file mid-write returns the last *complete* round.  ``None`` when no
-    complete round record exists.
+    Walks every chunk from the start of the file — each frame's body is
+    copied and CRC-checked, and its meta block parsed — to find the final
+    chunk holding round records, then decodes the columns of just that
+    chunk into dicts.  The cost is therefore linear in the file size, but
+    only one chunk's records are ever materialised.  Torn tails — the live
+    ``.tmp`` of a running writer — simply end the walk, so tailing a file
+    mid-write returns the last *complete* round.  ``None`` when no complete
+    round record exists.
     """
     try:
-        data, size = _open_buffer(path)
+        data = _open_buffer(path)
     except OSError:
         return None
     last: Optional[Tuple[Dict[str, Any], bytes]] = None
     try:
-        for meta, payload, _ in _iter_chunks(data, size, salvage=True):
+        for meta, payload in _iter_chunks(data, salvage=True):
             if meta.get("kind") == "rounds" and meta.get("rows"):
                 last = (meta, payload)
             elif meta.get("kind") == "json":
@@ -731,7 +688,7 @@ def load_columnar_data(path: Union[str, Path]) -> ColumnarTraceData:
     """
     from repro.telemetry.jsonl import _validate_span_record
 
-    data, size = _open_buffer(path)
+    data = _open_buffer(path)
     start: Optional[Dict[str, Any]] = None
     end: Optional[Dict[str, Any]] = None
     spans: List[Dict[str, Any]] = []
@@ -740,7 +697,7 @@ def load_columnar_data(path: Union[str, Path]) -> ColumnarTraceData:
     previous_t: Optional[int] = None
     index = 0  # running record index, for validator-compatible messages
     try:
-        for meta, payload, _ in _iter_chunks(data, size, salvage=False):
+        for meta, payload in _iter_chunks(data, salvage=False):
             if meta.get("kind") == "json":
                 for record in _decode_json_chunk(meta, payload):
                     index += 1

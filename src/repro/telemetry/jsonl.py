@@ -24,14 +24,13 @@ every trace consumer works on either format transparently.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import os
 import time
 from pathlib import Path
 from typing import Any, Dict, IO, List, Mapping, Optional, Union
 
+from repro import durable
 from repro.execution import faults
 
 from repro.telemetry.recorder import Recorder, RunProvenance, TRACE_SCHEMA_VERSION
@@ -186,7 +185,6 @@ class JsonlTraceWriter(TraceWriterBase):
     def __init__(self, target: PathOrFile, include_timings: bool = True) -> None:
         super().__init__(include_timings)
         self._path: Optional[Path] = None
-        self._tmp_path: Optional[Path] = None
         self._file: Optional[IO] = None
         self._owns_file = False
         if isinstance(target, (str, Path)):
@@ -206,13 +204,8 @@ class JsonlTraceWriter(TraceWriterBase):
         ``register``) before a graceful exit so an interrupted trace is
         durable on disk, not sitting in user-space buffers.
         """
-        if self._file is None:
-            return
-        self._file.flush()
-        try:
-            os.fsync(self._file.fileno())
-        except (OSError, ValueError, io.UnsupportedOperation):
-            pass  # not a real file descriptor (StringIO, pipes, ...)
+        if self._file is not None:
+            durable.sync(self._file, best_effort=True)
 
     def close(self) -> None:
         """Flush, fsync, close, and publish the trace at its target path.
@@ -227,29 +220,20 @@ class JsonlTraceWriter(TraceWriterBase):
         if self._owns_file:
             self._file.close()
             self._file = None
-            if self._tmp_path is not None:
-                os.replace(self._tmp_path, self._path)
-                self._tmp_path = None
+            durable.publish(self._path)
 
     def _write(self, record: Dict[str, Any]) -> None:
         if self._file is None:
             if self._path is None:
                 raise ValueError("trace writer already closed")
-            self._tmp_path = self._path.with_name(self._path.name + ".tmp")
             # Unbuffered raw binary: each record is one write(2) straight
             # to the OS, so a killed process leaves a salvageable prefix —
             # the line-buffered TextIOWrapper gave the same guarantee but
             # paid a per-write newline scan and encoder pass on top.
-            self._file = self._tmp_path.open("wb", buffering=0)
+            self._file = durable.open_stream(self._path)
         line = _ENCODE(record) + "\n"
         data = line.encode("utf-8") if self._owns_file else line
-        if faults.should_trip("trace:mid_write"):
-            # Deterministically manufacture a torn write: half the record,
-            # durable on disk, then death — the scenario salvage mode exists
-            # for, produced on demand instead of waited for.
-            self._file.write(data[: max(1, len(data) // 2)])
-            self.flush()
-            faults.trip("trace:mid_write")
+        durable.tear(self._file, data, "trace:mid_write")
         self._file.write(data)
         self.records_written += 1
         if faults.should_trip("trace:after_write"):
@@ -291,7 +275,17 @@ def read_trace(path: PathOrFile, salvage: bool = False) -> List[Dict[str, Any]]:
         from repro.telemetry.columnar import read_columnar_trace
 
         return read_columnar_trace(path, salvage=salvage)
-    text = Path(path).read_text() if isinstance(path, (str, Path)) else path.read()
+    if isinstance(path, (str, Path)):
+        raw = Path(path).read_bytes()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as error:
+            if not salvage:
+                raise
+            # A corrupt byte ends the stream like a bad line does.
+            text = raw[: error.start].decode("utf-8")
+    else:
+        text = path.read()
     records = []
     for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

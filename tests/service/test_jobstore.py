@@ -12,7 +12,6 @@ import json
 import os
 import subprocess
 import sys
-import zlib
 
 import pytest
 
