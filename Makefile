@@ -13,6 +13,7 @@ test:
 doctest:
 	$(PYTHON) -m pytest --doctest-modules \
 	    src/repro/durable.py \
+	    src/repro/execution/attempts.py \
 	    src/repro/dynamics/rng.py \
 	    src/repro/dynamics/batched.py \
 	    src/repro/execution/backoff.py \

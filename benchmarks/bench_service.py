@@ -86,7 +86,7 @@ def _direct_leg(root: Path, replicas: int):
 
 
 def _service_leg(root: Path, replicas: int):
-    service = Service(root, ServiceConfig(workers=1, poll_s=0.01))
+    service = Service(root, ServiceConfig(workers=1))
     try:
         start = time.perf_counter()
         job = service.submit(_spec(replicas))

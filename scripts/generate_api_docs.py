@@ -31,7 +31,7 @@ MODULES = [
     "repro.telemetry.resources", "repro.telemetry.heartbeat",
     "repro.telemetry.prometheus", "repro.telemetry.profiling",
     "repro.execution.checkpoint", "repro.execution.faults", "repro.execution.shutdown",
-    "repro.execution.backoff", "repro.execution.supervisor",
+    "repro.execution.backoff", "repro.execution.attempts", "repro.execution.supervisor",
     "repro.service.jobstore", "repro.service.worker", "repro.service.server",
     "repro.markov.chain", "repro.markov.exact", "repro.markov.birth_death",
     "repro.markov.doob", "repro.markov.concentration", "repro.markov.escape",

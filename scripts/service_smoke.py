@@ -122,7 +122,6 @@ def start_server(root: pathlib.Path, fault: str | None):
             sys.executable, "-m", "repro", "serve", str(root),
             "--port", "0", "--max-retries", "3",
             "--backoff-base", "0.05", "--backoff-cap", "0.2",
-            "--poll", "0.02",
         ],
         env=env,
         stderr=subprocess.PIPE,
@@ -173,7 +172,7 @@ def wait_terminal(url: str, job_id: str, timeout: float = 120.0) -> dict:
 
 def baseline_stats(workdir: pathlib.Path, spec: dict) -> dict:
     service = Service(
-        workdir / "baseline", ServiceConfig(workers=1, poll_s=0.01)
+        workdir / "baseline", ServiceConfig(workers=1)
     )
     try:
         job = service.submit(spec)

@@ -568,7 +568,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(
         workers=args.workers,
-        poll_s=args.poll,
         stale_after_s=args.stale_after,
         backoff_base_s=args.backoff_base,
         backoff_cap_s=args.backoff_cap,
@@ -1131,10 +1130,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backoff-cap", type=float, default=30.0, metavar="SECONDS",
         help="upper bound on the requeue delay (default 30)",
-    )
-    serve.add_argument(
-        "--poll", type=float, default=0.05, metavar="SECONDS",
-        help="dispatch loop wakeup interval (default 0.05)",
     )
     serve.set_defaults(handler=_cmd_serve)
 

@@ -49,14 +49,11 @@ fires in the parent.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import multiprocessing.connection
 import os
 import sys
 import tempfile
 import time
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -66,7 +63,7 @@ import numpy as np
 from repro import durable
 from repro.dynamics.rng import spawn_rngs
 from repro.execution import faults
-from repro.execution.backoff import backoff_delay_s
+from repro.execution.attempts import WAIT_S, AttemptPool, retry_delay
 from repro.execution.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
     CheckpointError,
@@ -92,6 +89,7 @@ from repro.telemetry.heartbeat import (
 )
 from repro.telemetry.columnar import open_trace_writer, write_trace_records
 from repro.telemetry.jsonl import read_trace
+from repro.telemetry.profiling import maybe_cprofile
 from repro.telemetry.recorder import TRACE_SCHEMA_VERSION
 from repro.telemetry.resources import sample_resources
 
@@ -146,7 +144,6 @@ class SupervisorConfig:
             reproducible per seed while distinct shards never retry in
             lock-step.
         backoff_cap_s: upper bound on the backoff delay.
-        poll_s: supervision loop wakeup interval.
         trace_timings: forward wall-clock fields into per-shard traces
             (default off so merged traces stay byte-identical per seed).
         trace_format: container for shard traces and the merged trace —
@@ -160,7 +157,6 @@ class SupervisorConfig:
     max_retries: int = DEFAULT_MAX_RETRIES
     backoff_base_s: float = 0.1
     backoff_cap_s: float = 5.0
-    poll_s: float = 0.05
     trace_timings: bool = False
     trace_format: str = "jsonl"
 
@@ -301,18 +297,17 @@ class _ShardTask:
     config: object
     max_rounds: int
     rng: np.random.Generator
-    checkpoint_path: Optional[str]
+    checkpoint_path: Optional[Path]
     checkpoint_every: int
-    trace_path: Optional[str]
+    trace_path: Optional[Path]
     trace_timings: bool
     trace_format: str
     times_path: str
-    env: Dict[str, Optional[str]]
     engine: Optional[str] = None
-    heartbeat_path: Optional[str] = None
+    heartbeat_path: Optional[Path] = None
     heartbeat_every_s: float = 1.0
     attempt: int = 1
-    profile_path: Optional[str] = None
+    profile_path: Optional[Path] = None
     scenario: object = None
 
 
@@ -325,21 +320,15 @@ def _shard_worker(task: _ShardTask) -> None:
     inside the worker and per-shard checkpoints come from the stock
     :class:`~repro.execution.checkpoint.Checkpointer`.  The result is
     published by an atomic tmp-then-rename file write — queues would lose
-    data to ``os._exit`` kills.
+    data to ``os._exit`` kills.  The attempt runner
+    (:mod:`repro.execution.attempts`) has already applied the attempt's
+    fault environment and reset the crashpoint counters.
     """
     from repro.dynamics.run import simulate_ensemble
 
-    for key, value in task.env.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-    # A forked child inherits the parent's crashpoint visit counters;
-    # shards must count their own visits from zero.
-    faults.reset()
     checkpoint = None
     if task.checkpoint_path is not None:
-        path = Path(task.checkpoint_path)
+        path = task.checkpoint_path
         if path.exists():
             try:
                 checkpoint = Checkpointer.resume(path, every=task.checkpoint_every)
@@ -370,14 +359,8 @@ def _shard_worker(task: _ShardTask) -> None:
         if task.heartbeat_path is not None
         else None
     )
-    if task.profile_path is not None:
-        from repro.telemetry.profiling import maybe_cprofile
-
-        profiled = maybe_cprofile(task.profile_path)
-    else:
-        profiled = nullcontext()
     try:
-        with profiled:
+        with maybe_cprofile(task.profile_path):
             times = simulate_ensemble(
                 task.protocol, task.config, task.max_rounds, task.rng,
                 task.replicas,
@@ -398,14 +381,6 @@ def _shard_worker(task: _ShardTask) -> None:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _Running:
-    process: multiprocessing.process.BaseProcess
-    attempt: int
-    started_at: float
-    deadline: Optional[float]
-
-
 def _effective_timeout(timeout_s: Optional[float]) -> Optional[float]:
     """Per-shard budget after folding in ``REPRO_BENCH_TIMEOUT``.
 
@@ -413,16 +388,11 @@ def _effective_timeout(timeout_s: Optional[float]) -> Optional[float]:
     the main process, so a hung worker must be killed by the supervisor's
     own deadline no later than the alarm would have fired.
     """
-    raw = os.environ.get("REPRO_BENCH_TIMEOUT")
-    bench: Optional[float] = None
-    if raw:
-        try:
-            parsed = float(raw)
-        except ValueError:
-            parsed = None
-        if parsed is not None and parsed > 0:
-            bench = parsed
-    candidates = [t for t in (timeout_s, bench) if t is not None]
+    try:
+        bench = float(os.environ.get("REPRO_BENCH_TIMEOUT", ""))
+    except ValueError:  # unset or garbage: no bench budget
+        bench = 0.0
+    candidates = [t for t in (timeout_s, bench if bench > 0 else None) if t is not None]
     return min(candidates) if candidates else None
 
 
@@ -456,6 +426,14 @@ def _fault_env(shard: int, attempt: int) -> Dict[str, Optional[str]]:
         return overrides
     overrides[faults.FAULT_ENV_VAR] = spec
     return overrides
+
+
+def _shard_path(base: Optional[Union[str, Path]], index: int) -> Optional[Path]:
+    """``<base>.shard<k>``: a shard's sibling of a checkpoint, trace or heartbeat base."""
+    if base is None:
+        return None
+    base = Path(base)
+    return base.with_name(base.name + f".shard{index}")
 
 
 def _load_shard_times(path: Path) -> Optional[np.ndarray]:
@@ -599,36 +577,12 @@ def run_supervised_ensemble(
         scratch = Path(workdir)
         scratch.mkdir(parents=True, exist_ok=True)
 
-    def shard_trace_path(index: int) -> Optional[Path]:
-        if trace_path is None:
-            return None
-        base = Path(trace_path)
-        return base.with_name(base.name + f".shard{index}")
-
-    def shard_checkpoint_path(index: int) -> Optional[str]:
-        if checkpoint_base is None:
-            return None
-        base = Path(checkpoint_base)
-        return str(base.with_name(base.name + f".shard{index}"))
-
-    hb_base: Optional[Path] = None
-    if heartbeat_base is not None:
-        hb_base = Path(heartbeat_base)
-    elif checkpoint_base is not None:
-        hb_base = Path(checkpoint_base)
+    hb_base = heartbeat_base if heartbeat_base is not None else checkpoint_base
     if profile_dir is not None:
         Path(profile_dir).mkdir(parents=True, exist_ok=True)
 
-    def shard_heartbeat_path(index: int) -> Optional[str]:
-        if hb_base is None:
-            return None
-        shard_base = hb_base.with_name(hb_base.name + f".shard{index}")
-        return str(heartbeat_path(shard_base))
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        context = multiprocessing.get_context()
+    def shard_heartbeat_path(index: int) -> Optional[Path]:
+        return None if hb_base is None else heartbeat_path(_shard_path(hb_base, index))
 
     pending = deque(range(shards))
     not_before: Dict[int, float] = {}
@@ -636,7 +590,6 @@ def run_supervised_ensemble(
     failures: Dict[int, List[ShardFailure]] = {k: [] for k in range(shards)}
     shard_times: Dict[int, np.ndarray] = {}
     quarantined: set = set()
-    running: Dict[int, _Running] = {}
     retries = 0
     timeouts = 0
 
@@ -711,53 +664,47 @@ def run_supervised_ensemble(
             config=config,
             max_rounds=max_rounds,
             rng=shard_rngs[index],
-            checkpoint_path=shard_checkpoint_path(index),
+            checkpoint_path=_shard_path(checkpoint_base, index),
             checkpoint_every=checkpoint_every,
-            trace_path=(
-                str(shard_trace_path(index))
-                if shard_trace_path(index) is not None
-                else None
-            ),
+            trace_path=_shard_path(trace_path, index),
             trace_timings=cfg.trace_timings,
             trace_format=cfg.trace_format,
             times_path=str(scratch / f"shard{index}.times.json"),
-            env=_fault_env(index, attempt),
             engine=family,
             heartbeat_path=shard_heartbeat_path(index),
             heartbeat_every_s=heartbeat_every_s,
             attempt=attempt,
             profile_path=(
-                str(Path(profile_dir) / f"shard{index}.prof")
-                if profile_dir is not None
-                else None
+                None if profile_dir is None else Path(profile_dir) / f"shard{index}.prof"
             ),
             scenario=scenario,
         )
-        process = context.Process(target=_worker, args=(task,), daemon=True)
-        process.start()
-        now = time.monotonic()
-        running[index] = _Running(
-            process=process,
-            attempt=attempt,
-            started_at=now,
-            deadline=now + timeout if timeout is not None else None,
+        pool.launch(
+            index, _worker, (task,),
+            env=_fault_env(index, attempt), timeout_s=timeout,
         )
 
-    def record_failure(index: int, run: _Running, kind: str) -> None:
+    def record_failure(index: int, kind: str, exitcode, elapsed_s: float) -> None:
         nonlocal retries, timeouts
-        now = time.monotonic()
         failures[index].append(
             ShardFailure(
                 shard=index,
-                attempt=run.attempt,
+                attempt=attempts[index],
                 kind=kind,
-                exitcode=run.process.exitcode,
-                elapsed_s=now - run.started_at,
+                exitcode=exitcode,
+                elapsed_s=elapsed_s,
             )
         )
         if kind == "timeout":
             timeouts += 1
-        if attempts[index] > cfg.max_retries:
+        backoff = retry_delay(
+            len(failures[index]),
+            cfg.max_retries,
+            base_s=cfg.backoff_base_s,
+            cap_s=cfg.backoff_cap_s,
+            key=f"{backoff_key}:shard{index}",
+        )
+        if backoff is None:
             quarantined.add(index)
             mark_shard_failed(index)
             # Forced write: the quarantine tick must be scrapeable now,
@@ -765,85 +712,39 @@ def run_supervised_ensemble(
             flush_supervisor_heartbeat(force=True)
             return
         retries += 1
-        backoff = backoff_delay_s(
-            len(failures[index]),
-            base_s=cfg.backoff_base_s,
-            cap_s=cfg.backoff_cap_s,
-            key=f"{backoff_key}:shard{index}",
-        )
-        not_before[index] = now + backoff
+        not_before[index] = time.monotonic() + backoff
         pending.append(index)
-
-    def teardown() -> None:
-        for run in running.values():
-            if run.process.is_alive():
-                run.process.terminate()
-        for run in running.values():
-            run.process.join(timeout=5.0)
-            if run.process.is_alive():  # pragma: no cover - terminate sufficed so far
-                run.process.kill()
-                run.process.join()
-        running.clear()
 
     with span(recorder, "supervise") as timing:
         if recording:
             recorder.run_started(provenance)
+        pool = AttemptPool()
         try:
-            while pending or running:
+            while pending or pool.running():
                 if guard is not None and guard.requested:
-                    teardown()
+                    pool.close()
                     flush_supervisor_heartbeat(force=True, status="interrupted")
                     raise GracefulExit(guard.signum, checkpoint_base)
                 flush_supervisor_heartbeat()
                 now = time.monotonic()
-                while pending and len(running) < cfg.workers:
-                    index = next(
-                        (s for s in pending if not_before.get(s, 0.0) <= now),
-                        None,
-                    )
-                    if index is None:
-                        break
+                ripe = [s for s in pending if not_before.get(s, 0.0) <= now]
+                for index in ripe[: cfg.workers - len(pool.running())]:
                     pending.remove(index)
                     launch(index)
-                if not running:
-                    soonest = min(not_before.get(s, 0.0) for s in pending)
-                    time.sleep(max(0.0, min(soonest - now, cfg.poll_s)) or 0.005)
-                    continue
-                wait_for = cfg.poll_s
-                deadlines = [
-                    r.deadline for r in running.values() if r.deadline is not None
-                ]
-                if deadlines:
-                    wait_for = min(wait_for, max(0.0, min(deadlines) - now))
-                multiprocessing.connection.wait(
-                    [run.process.sentinel for run in running.values()],
-                    timeout=wait_for,
-                )
-                now = time.monotonic()
-                for index in [s for s, r in running.items() if not r.process.is_alive()]:
-                    run = running.pop(index)
-                    run.process.join()
-                    if run.process.exitcode == 0:
-                        times = _load_shard_times(
-                            scratch / f"shard{index}.times.json"
-                        )
+                # With a free slot, sleep only until the next backoff ends.
+                wait_s = WAIT_S
+                if pending and len(pool.running()) < cfg.workers:
+                    wait_s = min(not_before[s] for s in pending) - now
+                for index, exitcode, elapsed_s, cause in pool.wait(wait_s):
+                    if cause == "exit" and exitcode == 0:
+                        times = _load_shard_times(scratch / f"shard{index}.times.json")
                         if times is not None and len(times) == sizes[index]:
                             shard_times[index] = times
                             continue
-                        record_failure(index, run, "corrupt")
-                    else:
-                        record_failure(index, run, "exit")
-                for index in [
-                    s
-                    for s, r in running.items()
-                    if r.deadline is not None and now >= r.deadline
-                ]:
-                    run = running.pop(index)
-                    run.process.kill()
-                    run.process.join()
-                    record_failure(index, run, "timeout")
+                        cause = "corrupt"
+                    record_failure(index, cause, exitcode, elapsed_s)
         finally:
-            teardown()
+            pool.close()
             if scratch_ctx is not None:
                 scratch_ctx.cleanup()
 
@@ -884,7 +785,8 @@ def run_supervised_ensemble(
         scenario_summary.update(recovery_summary(result.times, settle))
     if trace_path is not None:
         _write_merged_trace(
-            Path(trace_path), provenance, result, shard_trace_path,
+            Path(trace_path), provenance, result,
+            lambda index: _shard_path(trace_path, index),
             trace_format=cfg.trace_format, scenario_summary=scenario_summary,
         )
     if recording:
@@ -983,8 +885,7 @@ def supervisor_from(
 
     >>> supervisor_from(None, workers=4, shards=2)
     SupervisorConfig(workers=4, shards=2, timeout_s=None, max_retries=2, \
-backoff_base_s=0.1, backoff_cap_s=5.0, poll_s=0.05, trace_timings=False, \
-trace_format='jsonl')
+backoff_base_s=0.1, backoff_cap_s=5.0, trace_timings=False, trace_format='jsonl')
     >>> supervisor_from(SupervisorConfig(workers=8), None, None).workers
     8
     """

@@ -9,14 +9,16 @@
 - :mod:`repro.service.worker` — job execution through the existing
   checkpoint machinery: attempts resume from their own checkpoints and
   publish attempt-stamped results atomically.
-- :mod:`repro.service.server` — the worker pool, heartbeat watchdog,
-  restart recovery, and the stdlib HTTP API (submit, status/long-poll,
-  trace tails, ``/metrics``).
+- :mod:`repro.service.server` — the job policy over the attempt runner
+  (:mod:`repro.execution.attempts`): dispatch, retry, restart recovery,
+  and the stdlib HTTP API (submit, status/long-poll, trace tails,
+  ``/metrics``).
 
 Recovery semantics, the journal format, and the crashpoint table live in
 docs/SERVICE.md.
 """
 
+from repro.execution.attempts import exit_taxonomy
 from repro.service.jobstore import (
     ACTIVE_STATES,
     JOB_STATES,
@@ -32,7 +34,6 @@ from repro.service.server import (
     Service,
     ServiceConfig,
     ServiceServer,
-    exit_taxonomy,
     serve,
 )
 from repro.service.worker import SpecError, validate_spec

@@ -1,4 +1,4 @@
-"""The simulation service: worker pool, watchdog, recovery, and HTTP API.
+"""The simulation service: job dispatch, retry, recovery, and HTTP API.
 
 :class:`Service` owns a :class:`~repro.service.jobstore.JobStore` and
 drives jobs through their lifecycle with three synchronous ingredients,
@@ -6,21 +6,24 @@ all exercised from one :meth:`Service.tick` so tests can single-step the
 whole machine deterministically:
 
 - **dispatch** — pops ripe ``queued`` jobs (``not_before`` respected)
-  into forked worker processes, up to ``workers`` concurrent children.
-  The state is journaled *before* the fork (crashpoint
-  ``service:mid_dispatch`` sits in between), so a crash there leaves a
-  durable ``running`` record whose orphanhood is detected on restart.
-- **reap** — collects exited workers: exit 0 plus an attempt-stamped
-  ``result.json`` is ``done``; anything else consults the retry budget
-  and either requeues with :func:`~repro.execution.backoff.
-  backoff_delay_s` (deterministic seeded jitter keyed on the job's seed
-  and id) or lands the job in ``failed`` with an
-  ``execution.shutdown.EXIT_CODES`` taxonomy entry — the job error
-  contract.
+  into worker attempts, up to ``workers`` at once.  The state is
+  journaled *before* the fork (crashpoint ``service:mid_dispatch`` sits
+  in between), so a crash there leaves a durable ``running`` record
+  whose orphanhood is detected on restart.
+- **settle** — exit 0 plus an attempt-stamped ``result.json`` is
+  ``done``; anything else consults the retry budget
+  (:func:`~repro.execution.attempts.retry_delay`, seeded jitter keyed on
+  the job's seed and id) and either requeues or lands the job in
+  ``failed`` with an ``execution.shutdown.EXIT_CODES`` taxonomy entry —
+  the job error contract.
 - **watchdog** — a live worker whose heartbeat file has gone stale
   (beyond ``stale_after_s``) is presumed stuck, killed, and fed to the
-  same retry path.  This is the PR-7 heartbeat reused as a liveness
-  signal rather than merely a dashboard feed.
+  same retry path.
+
+Forking, waiting, the watchdog and the exit taxonomy belong to the
+attempt runner, :class:`~repro.execution.attempts.AttemptPool`; a
+submission or cancellation wakes its wait, so a new job is dispatched at
+once rather than when some unrelated worker exits.
 
 **Recovery** (:meth:`Service.recover`, run at startup) replays the same
 rules against whatever a crash left behind: an active job with a
@@ -41,22 +44,20 @@ metrics port is configured.
 
 from __future__ import annotations
 
-import gc
 import json
-import multiprocessing
 import os
 import signal
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.execution import faults
-from repro.execution.backoff import backoff_delay_s
-from repro.execution.shutdown import EXIT_CODES, EXIT_ERROR, EXIT_INTERRUPTED, EXIT_OK
+from repro.execution.attempts import WAIT_S, AttemptPool, exit_taxonomy, retry_delay
+from repro.execution.shutdown import EXIT_OK
 from repro.service.jobstore import (
     ACTIVE_STATES,
     JOB_STATES,
@@ -71,31 +72,20 @@ from repro.service.worker import (
     read_result,
     validate_spec,
 )
+from repro.telemetry.heartbeat import heartbeat_path, read_heartbeat
+from repro.telemetry.prometheus import (
+    MetricFamily,
+    MetricsServer,
+    heartbeat_families,
+    render_exposition,
+)
 
 __all__ = [
     "ServiceConfig",
     "Service",
     "ServiceServer",
     "serve",
-    "exit_taxonomy",
 ]
-
-_EXIT_NAMES = {value: name for name, value, _ in EXIT_CODES}
-
-
-def exit_taxonomy(exitcode: Optional[int], *, stalled: bool = False) -> Tuple[int, str]:
-    """Map a worker's death to the ``EXIT_CODES`` taxonomy entry.
-
-    A stalled worker (killed by the watchdog) and any signal death map to
-    ``EXIT_INTERRUPTED`` — the run was cut down mid-flight, not wrong.
-    A worker that exited with a known taxonomy code keeps it; anything
-    else is ``EXIT_ERROR``.
-    """
-    if stalled or exitcode is None or exitcode < 0:
-        return EXIT_INTERRUPTED, _EXIT_NAMES[EXIT_INTERRUPTED]
-    if exitcode in _EXIT_NAMES:
-        return exitcode, _EXIT_NAMES[exitcode]
-    return EXIT_ERROR, _EXIT_NAMES[EXIT_ERROR]
 
 
 @dataclass(frozen=True)
@@ -104,7 +94,6 @@ class ServiceConfig:
 
     Attributes:
         workers: concurrent worker processes draining the queue.
-        poll_s: dispatch-loop wakeup interval.
         stale_after_s: heartbeat age past which a live worker is presumed
             stuck and killed (the watchdog clock).
         dispatch_grace_s: how long a freshly dispatched worker may run
@@ -117,7 +106,6 @@ class ServiceConfig:
     """
 
     workers: int = 1
-    poll_s: float = 0.05
     stale_after_s: float = 30.0
     dispatch_grace_s: float = 10.0
     backoff_base_s: float = 0.5
@@ -127,19 +115,16 @@ class ServiceConfig:
 
 
 class Service:
-    """The job machine: store + worker pool + watchdog + recovery."""
+    """The job machine: store + attempt pool + retry policy + recovery."""
 
     def __init__(self, root, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         self.store = JobStore(root, compact_bytes=self.config.compact_bytes)
         self.root = self.store.root
-        try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            self._context = multiprocessing.get_context()
-        self._children: Dict[str, Any] = {}
-        self._dispatched_at: Dict[str, float] = {}
-        self._stale_checked_at: Dict[str, float] = {}
+        self.pool = AttemptPool(
+            stale_after_s=self.config.stale_after_s,
+            dispatch_grace_s=self.config.dispatch_grace_s,
+        )
         self._lock = threading.RLock()
         self.recover()
 
@@ -189,11 +174,17 @@ class Service:
         *,
         error: str,
         exitcode: Optional[int] = None,
-        stalled: bool = False,
     ) -> Job:
         retries = job.retries + 1
-        if retries > job.max_retries:
-            code, name = exit_taxonomy(exitcode, stalled=stalled)
+        delay = retry_delay(
+            retries,
+            job.max_retries,
+            base_s=self.config.backoff_base_s,
+            cap_s=self.config.backoff_cap_s,
+            key=f"{job.spec.get('seed', 0)}:{job.id}",
+        )
+        if delay is None:
+            code, name = exit_taxonomy(exitcode)
             return self.store.transition(
                 job.id,
                 "failed",
@@ -203,12 +194,6 @@ class Service:
                 exit_code=code,
                 exit_name=name,
             )
-        delay = backoff_delay_s(
-            retries,
-            base_s=self.config.backoff_base_s,
-            cap_s=self.config.backoff_cap_s,
-            key=f"{job.spec.get('seed', 0)}:{job.id}",
-        )
         return self.store.transition(
             job.id,
             "queued",
@@ -231,7 +216,9 @@ class Service:
             if max_retries is None
             else int(max_retries)
         )
-        return self.store.submit(spec, max_retries=budget)
+        job = self.store.submit(spec, max_retries=budget)
+        self.pool.wake()
+        return job
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a queued or active job (kills its worker if one runs)."""
@@ -241,111 +228,67 @@ class Service:
                 raise JobStoreError(
                     f"job {job_id} is already {job.state}; cannot cancel"
                 )
-            process = self._children.pop(job_id, None)
-            self._dispatched_at.pop(job_id, None)
-            self._stale_checked_at.pop(job_id, None)
-            if process is not None and process.is_alive():
-                process.kill()
-                process.join(timeout=5.0)
-            return self.store.transition(
+            self.pool.kill(job_id)
+            job = self.store.transition(
                 job_id, "cancelled", worker_pid=None, error="cancelled by client"
             )
+        self.pool.wake()  # a worker slot may have freed up
+        return job
 
     # -- the loop ----------------------------------------------------------
 
     def tick(self) -> int:
-        """One synchronous step of reap + watchdog + dispatch.
+        """One non-blocking step: settle finished workers, then dispatch.
 
         Returns the number of jobs whose state changed, so callers (and
         tests) can drive the machine to quiescence deterministically.
         """
-        with self._lock:
-            changed = self._reap()
-            changed += self._dispatch_ready()
-        return changed
+        return self._step(0.0)
 
-    def _reap(self) -> int:
+    def _step(self, wait_s: float) -> int:
+        finished = self.pool.wait(wait_s)
+        with self._lock:
+            return self._settle(finished) + self._dispatch_ready()
+
+    def _settle(self, finished) -> int:
         changed = 0
-        now = time.time()
-        for job_id, process in list(self._children.items()):
+        for job_id, exitcode, _, cause in finished:
             job = self.store.get(job_id)
-            if process.is_alive():
-                if self._watchdog_due(job_id) and self._is_stalled(job_id, now):
-                    process.kill()
-                    process.join(timeout=5.0)
-                    self._forget(job_id)
-                    self._fail_or_requeue(
-                        job,
-                        error=(
-                            f"worker heartbeat stale beyond "
-                            f"{self.config.stale_after_s}s; killed"
-                        ),
-                        stalled=True,
-                    )
-                    changed += 1
+            if job.state not in ACTIVE_STATES:  # cancelled while it exited
                 continue
-            process.join()
-            exitcode = process.exitcode
-            self._forget(job_id)
+            changed += 1
             result = read_result(self.store.job_dir(job_id), attempt=job.attempt)
             if exitcode == EXIT_OK and result is not None:
                 self.store.transition(
                     job_id, "done", result=result, worker_pid=None, error=None
                 )
-            else:
+                continue
+            # A stalled worker was SIGKILLed, so its exit code already maps
+            # to EXIT_INTERRUPTED in the taxonomy.
+            if cause == "stalled":
                 error = (
-                    f"worker exited {exitcode} without a valid result"
-                    if result is None
-                    else f"worker exited {exitcode}"
+                    f"worker heartbeat stale beyond "
+                    f"{self.config.stale_after_s}s; killed"
                 )
-                self._fail_or_requeue(job, error=error, exitcode=exitcode)
-            changed += 1
+            elif result is None:
+                error = f"worker exited {exitcode} without a valid result"
+            else:
+                error = f"worker exited {exitcode}"
+            self._fail_or_requeue(job, error=error, exitcode=exitcode)
         return changed
-
-    def _watchdog_due(self, job_id: str) -> bool:
-        """Rate-limit the stale check: it reads the heartbeat file.
-
-        Staleness only needs to be noticed within a fraction of
-        ``stale_after_s``, so polling the file every tick (potentially
-        every 10ms) would just steal disk and CPU from the workers —
-        measurable on single-core runners.
-        """
-        interval = min(1.0, self.config.stale_after_s / 4.0)
-        mono = time.monotonic()
-        if mono - self._stale_checked_at.get(job_id, 0.0) < interval:
-            return False
-        self._stale_checked_at[job_id] = mono
-        return True
-
-    def _is_stalled(self, job_id: str, now: float) -> bool:
-        from repro.telemetry.heartbeat import heartbeat_path, read_heartbeat
-
-        beat = read_heartbeat(heartbeat_path(self.store.job_dir(job_id) / "job"))
-        started = self._dispatched_at.get(job_id)
-        if beat is None:
-            # No heartbeat yet (or torn): allow the dispatch grace period.
-            return (
-                started is not None
-                and time.monotonic() - started > self.config.dispatch_grace_s
-            )
-        return beat.age_s(now) > self.config.stale_after_s
-
-    def _forget(self, job_id: str) -> None:
-        self._children.pop(job_id, None)
-        self._dispatched_at.pop(job_id, None)
-        self._stale_checked_at.pop(job_id, None)
 
     def _dispatch_ready(self) -> int:
-        changed = 0
+        free = self.config.workers - len(self.pool.running())
+        if free <= 0:
+            return 0
         now = time.time()
-        for job in self.store.jobs():
-            if len(self._children) >= self.config.workers:
-                break
-            if job.state != "queued" or job.not_before > now:
-                continue
+        ready = [
+            job for job in self.store.jobs()
+            if job.state == "queued" and job.not_before <= now
+        ][:free]
+        for job in ready:
             self._dispatch(job)
-            changed += 1
-        return changed
+        return len(ready)
 
     def _dispatch(self, job: Job) -> None:
         attempt = job.attempt + 1
@@ -358,68 +301,35 @@ class Service:
         faults.crashpoint("service:mid_dispatch")
         jobdir = self.store.job_dir(job.id)
         jobdir.mkdir(parents=True, exist_ok=True)
-        process = self._context.Process(
-            target=job_worker_main,
-            args=(job.spec, str(jobdir), attempt),
-            daemon=True,
+        # Workers run with REPRO_FAULT unset: the service's crashpoints
+        # target the server, and must never fire inside a job and
+        # masquerade as a compute failure.
+        pid = self.pool.launch(
+            job.id, job_worker_main, (job.spec, str(jobdir), attempt),
+            env={faults.FAULT_ENV_VAR: None},
+            heartbeat=self._heartbeat_file(job.id),
         )
-        # Freeze the heap across the fork so the child's first garbage
-        # collection does not sweep (and so copy-on-write fault) every
-        # inherited page: the child forks with the frozen view, then the
-        # parent unfreezes itself.  Without this the worker pays a
-        # heap-sized page-fault tax that E13f measures at 10-20% of a
-        # smoke-sized job.
-        gc.freeze()
-        try:
-            process.start()
-        finally:
-            gc.unfreeze()
         # Self-loop transition: same state, records the worker pid so a
         # later recovery can put the orphan down before requeueing.
-        self.store.transition(job.id, to, worker_pid=process.pid)
-        self._children[job.id] = process
-        self._dispatched_at[job.id] = time.monotonic()
-
-    def _idle_wait(self) -> None:
-        """Sleep until there is plausibly work to do.
-
-        With live workers this blocks on their process sentinels — the
-        loop wakes *instantly* when a child exits instead of discovering
-        it up to ``poll_s`` later, and in between it only wakes at the
-        watchdog cadence.  Busy-polling here is not just latency: on a
-        single-core host every wake steals CPU from the workers
-        themselves (measured by E13f).  With no children it naps
-        ``poll_s`` so submissions and expiring backoffs stay responsive.
-        """
-        with self._lock:
-            sentinels = [p.sentinel for p in self._children.values()]
-        if not sentinels:
-            time.sleep(self.config.poll_s)
-            return
-        from multiprocessing.connection import wait as sentinel_wait
-
-        watchdog_cadence = max(
-            self.config.poll_s, min(1.0, self.config.stale_after_s / 4.0)
-        )
-        sentinel_wait(sentinels, timeout=watchdog_cadence)
+        self.store.transition(job.id, to, worker_pid=pid)
 
     def drain(self, *, timeout_s: float = 60.0) -> bool:
-        """Tick until no queued/active jobs remain; True if fully drained."""
+        """Step until no queued/active jobs remain; True if fully drained."""
         deadline = time.monotonic() + timeout_s
+        wait_s = 0.0
         while time.monotonic() < deadline:
-            self.tick()
+            self._step(wait_s)
             counts = self.store.counts()
             if not any(counts[state] for state in ("queued", *ACTIVE_STATES)):
                 return True
-            self._idle_wait()
+            wait_s = WAIT_S
         return False
 
     def run(self, guard=None) -> None:
-        """Loop :meth:`tick` until ``guard`` requests a stop (or forever)."""
+        """Step until ``guard`` requests a stop (or forever)."""
         try:
             while guard is None or not guard.requested:
-                self.tick()
-                self._idle_wait()
+                self._step(WAIT_S)
         finally:
             self.shutdown()
 
@@ -431,11 +341,9 @@ class Service:
         burns a job's budget.
         """
         with self._lock:
-            for job_id, process in list(self._children.items()):
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=5.0)
-                self._forget(job_id)
+            running = self.pool.running()
+            self.pool.close()
+            for job_id in running:
                 job = self.store.get(job_id)
                 if job.state in ACTIVE_STATES:
                     self.store.transition(
@@ -453,21 +361,19 @@ class Service:
 
     # -- observability -----------------------------------------------------
 
-    def job_heartbeats(self) -> List[Any]:
-        from repro.telemetry.heartbeat import heartbeat_path, read_heartbeat
-
-        beats = []
-        for job in self.store.jobs():
-            beat = read_heartbeat(heartbeat_path(self.store.job_dir(job.id) / "job"))
-            if beat is not None:
-                beats.append(beat)
-        return beats
+    def _heartbeat_file(self, job_id: str) -> Path:
+        return heartbeat_path(self.store.job_dir(job_id) / "job")
 
     def metrics_text(self) -> str:
-        """Prometheus exposition: job-state gauges + live job heartbeats."""
-        from repro.telemetry.prometheus import MetricFamily, render_exposition
-        from repro.telemetry.prometheus import heartbeat_families
+        """Prometheus exposition: job-state gauges + live job heartbeats.
 
+        Heartbeats are read only for jobs with a live attempt, each
+        labelled ``job="<id>"``, so every series is unique and a scrape
+        costs the same however many jobs the service has served.
+        """
+        running = self.pool.running()
+        beats = {job_id: read_heartbeat(self._heartbeat_file(job_id)) for job_id in running}
+        live = [(job_id, beat) for job_id, beat in beats.items() if beat is not None]
         counts = self.store.counts()
         jobs = self.store.jobs()
         families = [
@@ -490,19 +396,20 @@ class Service:
             MetricFamily(
                 "repro_service_workers_busy", "gauge",
                 "Worker processes currently attached to a job.",
-                [((), float(len(self._children)))],
+                [((), float(len(running)))],
             ),
         ]
-        families.extend(heartbeat_families(self.job_heartbeats()))
+        families.extend(heartbeat_families(
+            [beat for _, beat in live],
+            extra_labels=[(("job", job_id),) for job_id, _ in live],
+        ))
         return render_exposition(families)
 
     def job_document(self, job_id: str) -> Dict[str, Any]:
         """A job plus its live heartbeat, as served by the API."""
-        from repro.telemetry.heartbeat import heartbeat_path, read_heartbeat
-
         job = self.store.get(job_id)
         doc = job.to_dict()
-        beat = read_heartbeat(heartbeat_path(self.store.job_dir(job_id) / "job"))
+        beat = read_heartbeat(self._heartbeat_file(job_id))
         doc["heartbeat"] = beat.to_dict() if beat is not None else None
         return doc
 
@@ -525,14 +432,8 @@ class Service:
 # HTTP layer
 
 
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    service: Service
-
-
 class _Handler(BaseHTTPRequestHandler):
-    server: _ServiceHTTPServer
+    service: Service
 
     # -- plumbing ---------------------------------------------------------
 
@@ -540,12 +441,10 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # the service loop owns stderr; HTTP chatter stays quiet
 
     def _send_json(self, status: int, payload: Any) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(
+            status, json.dumps(payload, sort_keys=True),
+            "application/json; charset=utf-8",
+        )
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         body = text.encode()
@@ -569,7 +468,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes -----------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        service = self.server.service
+        service = self.service
         url = urlparse(self.path)
         parts = [p for p in url.path.split("/") if p]
         try:
@@ -630,7 +529,7 @@ class _Handler(BaseHTTPRequestHandler):
         return doc
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        service = self.server.service
+        service = self.service
         url = urlparse(self.path)
         parts = [p for p in url.path.split("/") if p]
         try:
@@ -659,50 +558,25 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": str(exc)})
 
 
-class ServiceServer:
+class ServiceServer(MetricsServer):
     """The HTTP front: a daemon-threaded stdlib server bound to ``service``.
 
-    ``port=0`` binds an ephemeral port; :attr:`url` reports the real one.
-    Start/stop mirrors :class:`repro.telemetry.prometheus.MetricsServer`
-    so the CLI can manage both uniformly.
+    ``port=0`` binds an ephemeral port at :meth:`start`; :attr:`url`
+    reports the real one.  Start/stop and the context manager are
+    :class:`repro.telemetry.prometheus.MetricsServer`'s, so the CLI
+    manages both uniformly.
     """
+
+    _path = ""
 
     def __init__(
         self, service: Service, *, host: str = "127.0.0.1", port: int = 0
     ) -> None:
+        super().__init__(service.metrics_text, port=port, host=host)
         self.service = service
-        self._httpd = _ServiceHTTPServer((host, port), _Handler)
-        self._httpd.service = service
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ServiceServer":
-        thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-service-http",
-            daemon=True,
-        )
-        thread.start()
-        self._thread = thread
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def _handler(self) -> type:
+        return type("Handler", (_Handler,), {"service": self.service})
 
 
 def serve(
@@ -731,8 +605,6 @@ def serve(
     print(f"service: listening on {server.url}", file=out, flush=True)
     metrics_server = None
     if metrics_port is not None:
-        from repro.telemetry.prometheus import MetricsServer
-
         metrics_server = MetricsServer(
             service.metrics_text, port=metrics_port, host=host
         ).start()

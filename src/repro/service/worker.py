@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -72,6 +71,7 @@ def validate_spec(payload: Dict[str, Any]) -> Dict[str, Any]:
         raise SpecError(f"unknown job kind {kind!r} (expected one of {_KINDS})")
     spec: Dict[str, Any] = {"kind": kind}
     spec["protocol"] = str(payload.get("protocol", "minority-3"))
+    x0 = payload.get("x0")
     try:
         spec["n"] = int(payload.get("n", 100))
         spec["z"] = int(payload.get("z", 1))
@@ -79,14 +79,18 @@ def validate_spec(payload: Dict[str, Any]) -> Dict[str, Any]:
         spec["seed"] = int(payload.get("seed", 0))
         spec["replicas"] = int(payload.get("replicas", 1 if kind == "run" else 10))
         spec["checkpoint_every"] = int(payload.get("checkpoint_every", 25))
+        spec["x0"] = None if x0 is None else int(x0)
+        spec["heartbeat_every_s"] = float(payload.get("heartbeat_every_s", 1.0))
     except (TypeError, ValueError) as exc:
-        raise SpecError(f"non-integer job parameter: {exc}") from exc
+        raise SpecError(f"non-numeric job parameter: {exc}") from exc
     if spec["n"] <= 0 or spec["replicas"] <= 0 or spec["max_rounds"] <= 0:
         raise SpecError("n, replicas, and max_rounds must be positive")
+    if spec["checkpoint_every"] < 1:
+        raise SpecError("checkpoint_every must be >= 1")
+    if not spec["heartbeat_every_s"] >= 0:
+        raise SpecError("heartbeat_every_s must be >= 0")
     if kind == "run" and spec["replicas"] != 1:
         raise SpecError("kind 'run' is a single replica; use kind 'ensemble'")
-    x0 = payload.get("x0")
-    spec["x0"] = None if x0 is None else int(x0)
     engine = payload.get("engine")
     spec["engine"] = None if engine is None else str(engine)
     scenario = payload.get("scenario")
@@ -95,7 +99,6 @@ def validate_spec(payload: Dict[str, Any]) -> Dict[str, Any]:
     if trace not in (None, "jsonl", "columnar"):
         raise SpecError(f"trace must be 'jsonl' or 'columnar', got {trace!r}")
     spec["trace"] = trace
-    spec["heartbeat_every_s"] = float(payload.get("heartbeat_every_s", 1.0))
     if kind == "sweep":
         sweep = payload.get("sweep")
         if not isinstance(sweep, dict):
@@ -108,7 +111,10 @@ def validate_spec(payload: Dict[str, Any]) -> Dict[str, Any]:
             )
         if not isinstance(values, list) or not values:
             raise SpecError("sweep.values must be a non-empty list")
-        spec["sweep"] = {"param": str(param), "values": [int(v) for v in values]}
+        try:
+            spec["sweep"] = {"param": str(param), "values": [int(v) for v in values]}
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"non-integer sweep value: {exc}") from exc
     return spec
 
 
@@ -144,10 +150,10 @@ def read_result(jobdir, *, attempt: Optional[int] = None) -> Optional[Dict[str, 
     return payload
 
 
-def _build_config(spec: Dict[str, Any], n: int):
+def _build_config(spec: Dict[str, Any]):
     from repro.dynamics.config import Configuration, wrong_consensus_configuration
 
-    z = spec["z"]
+    n, z = spec["n"], spec["z"]
     low, high = Configuration.count_bounds(n, z)
     x0 = spec.get("x0")
     if x0 is None:
@@ -155,25 +161,24 @@ def _build_config(spec: Dict[str, Any], n: int):
     return Configuration(n=n, z=z, x0=min(max(int(x0), low), high))
 
 
-def _run_ensemble(spec: Dict[str, Any], jobdir: Path, *, recorder, seed: int,
-                  n: int, replicas: int, max_rounds: int,
+def _run_ensemble(spec: Dict[str, Any], jobdir: Path, *, recorder,
                   checkpoint_suffix: str = "") -> Dict[str, Any]:
     from repro.analysis.ensemble import convergence_ensemble
     from repro.cli import resolve_protocol
     from repro.dynamics.rng import make_rng
     from repro.execution.checkpoint import Checkpointer
 
-    protocol = resolve_protocol(spec["protocol"], n)
-    config = _build_config(spec, n)
+    protocol = resolve_protocol(spec["protocol"], spec["n"])
+    config = _build_config(spec)
     ckpt_path = jobdir / f"job{checkpoint_suffix}.ckpt"
     resumed = ckpt_path.exists()
     checkpoint = Checkpointer(ckpt_path, every=spec["checkpoint_every"])
     stats = convergence_ensemble(
         protocol,
         config,
-        max_rounds,
-        make_rng(seed),
-        replicas,
+        spec["max_rounds"],
+        make_rng(spec["seed"]),
+        spec["replicas"],
         recorder=recorder,
         checkpoint=checkpoint,
         engine=spec.get("engine"),
@@ -214,11 +219,7 @@ def execute_job(spec: Dict[str, Any], jobdir, *, attempt: int = 1) -> Dict[str, 
     try:
         result: Dict[str, Any] = {"kind": spec["kind"], "attempt": attempt}
         if spec["kind"] in ("run", "ensemble"):
-            out = _run_ensemble(
-                spec, jobdir, recorder=recorder, seed=spec["seed"],
-                n=spec["n"], replicas=spec["replicas"],
-                max_rounds=spec["max_rounds"],
-            )
+            out = _run_ensemble(spec, jobdir, recorder=recorder)
             result.update(out)
             if spec["kind"] == "run":
                 # A run is a one-replica ensemble; surface its single time.
@@ -231,23 +232,11 @@ def execute_job(spec: Dict[str, Any], jobdir, *, attempt: int = 1) -> Dict[str, 
             points = []
             resumed_any = False
             for index, value in enumerate(spec["sweep"]["values"]):
-                overrides = {
-                    "n": spec["n"], "replicas": spec["replicas"],
-                    "max_rounds": spec["max_rounds"],
-                    "seed": spec["seed"] + index,
-                }
-                point_spec = dict(spec)
-                if param in ("n", "z", "x0"):
-                    point_spec[param] = value
-                else:
-                    overrides[param] = value
-                if param == "seed":
-                    overrides["seed"] = value
+                # Each point runs on seed + index unless the sweep is over
+                # the seed itself.
+                point_spec = {**spec, "seed": spec["seed"] + index, param: value}
                 out = _run_ensemble(
                     point_spec, jobdir, recorder=recorder,
-                    seed=overrides["seed"], n=point_spec["n"],
-                    replicas=overrides["replicas"],
-                    max_rounds=overrides["max_rounds"],
                     checkpoint_suffix=f".point{index}",
                 )
                 resumed_any = resumed_any or out["resumed"]
@@ -266,25 +255,11 @@ def _publish_result(jobdir: Path, payload: Dict[str, Any]) -> None:
 
 
 def job_worker_main(spec: Dict[str, Any], jobdir: str, attempt: int) -> None:
-    """Child-process entry point: run the attempt, publish, exit by taxonomy.
+    """Worker-attempt target: run the attempt and publish its result.
 
-    The ``REPRO_FAULT`` crashpoints of this PR target the *server* (journal
-    commits, compaction, dispatch) — a forked worker strips the fault spec
-    so a server-aimed fault can never fire inside a job and masquerade as a
-    compute failure.
+    Runs inside a child forked by :class:`~repro.execution.attempts.
+    AttemptPool`, which turns a raise here into ``EXIT_ERROR`` and a
+    return into ``EXIT_OK``.
     """
-    import sys
-
-    from repro.execution import faults
-    from repro.execution.shutdown import EXIT_ERROR, EXIT_OK
-
-    os.environ.pop(faults.FAULT_ENV_VAR, None)
-    faults.reset()
-    try:
-        payload = execute_job(spec, jobdir, attempt=attempt)
-        _publish_result(Path(jobdir), payload)
-    except Exception as exc:  # the exit code *is* the error channel
-        print(f"repro-service worker: {exc}", file=sys.stderr)
-        sys.stderr.flush()
-        os._exit(EXIT_ERROR)
-    os._exit(EXIT_OK)
+    payload = execute_job(spec, jobdir, attempt=attempt)
+    _publish_result(Path(jobdir), payload)

@@ -245,6 +245,8 @@ def validate_exposition(text: str) -> Dict[str, int]:
       (histogram/summary suffixes allowed for those types);
     * label names match :data:`LABEL_NAME_RE`, are unique per sample, and
       label values use only the ``\\\\``, ``\\"``, ``\\n`` escapes;
+    * no (metric name, label set) pair appears twice — a scraper rejects
+      the whole payload over one duplicated series;
     * values parse as Go floats (``NaN``, ``+Inf``, ``-Inf`` included) and
       the optional trailing timestamp is an integer.
 
@@ -257,6 +259,7 @@ def validate_exposition(text: str) -> Dict[str, int]:
     declared: Dict[str, dict] = {}
     current: Optional[str] = None
     closed: set = set()
+    series: set = set()
     samples = 0
 
     def open_family(name: str, where: str) -> dict:
@@ -322,11 +325,12 @@ def validate_exposition(text: str) -> Dict[str, int]:
             raise ExpositionError(f"{where}: illegal sample line {line!r}")
         sample_name = match.group(1)
         rest = line[match.end():]
+        labels: List[Tuple[str, str]] = []
         if rest.startswith("{"):
             end = rest.rfind("}")
             if end < 0:
                 raise ExpositionError(f"{where}: unterminated label set")
-            _parse_labels(rest[1:end], where)
+            labels = _parse_labels(rest[1:end], where)
             rest = rest[end + 1 :]
         tokens = rest.split()
         if not tokens or len(tokens) > 2:
@@ -347,6 +351,12 @@ def validate_exposition(text: str) -> Dict[str, int]:
         open_family(base, where)
         if declared[base]["type"] is None:
             raise ExpositionError(f"{where}: sample {sample_name!r} without a TYPE")
+        key = (sample_name, frozenset(labels))
+        if key in series:
+            raise ExpositionError(
+                f"{where}: duplicate series {sample_name!r} {sorted(labels)}"
+            )
+        series.add(key)
         declared[base]["samples"] += 1
         samples += 1
     return {"families": len(declared), "samples": samples}
@@ -428,27 +438,33 @@ def metrics_families(metrics: RunMetrics) -> List[MetricFamily]:
     return families
 
 
-def heartbeat_families(beats: Iterable[Heartbeat]) -> List[MetricFamily]:
+def heartbeat_families(
+    beats: Iterable[Heartbeat],
+    extra_labels: Optional[Sequence[Sequence[Tuple[str, str]]]] = None,
+) -> List[MetricFamily]:
     """Metric families from heartbeat files (shard progress + supervision).
 
-    Shard/run heartbeats carry ``role``/``shard`` labels; the supervisor
+    Shard/run heartbeats carry ``role``/``shard`` labels, followed by
+    ``extra_labels[i]`` for the ``i``-th beat when given (the service adds
+    ``job``, since its job heartbeats share one role); the supervisor
     heartbeat additionally feeds the retry/timeout counters and the
     ``repro_shards_quarantined`` gauge the CI smoke asserts on.
     """
     beats = list(beats)
     if not beats:
         return []
-
-    def labels(beat: Heartbeat) -> Tuple[Tuple[str, str], ...]:
+    extras = list(extra_labels) if extra_labels is not None else [()] * len(beats)
+    labelled = []
+    for beat, extra in zip(beats, extras):
         pairs: List[Tuple[str, str]] = [("role", beat.role)]
         if beat.shard is not None:
             pairs.append(("shard", str(beat.shard)))
-        return tuple(pairs)
+        labelled.append((tuple(pairs) + tuple(extra), beat))
 
     def gauge(name: str, help_text: str, pick) -> Optional[MetricFamily]:
         samples = [
-            (labels(beat), float(pick(beat)))
-            for beat in beats
+            (labels, float(pick(beat)))
+            for labels, beat in labelled
             if pick(beat) is not None
         ]
         return MetricFamily(name, "gauge", help_text, samples) if samples else None
@@ -506,7 +522,7 @@ def heartbeat_families(beats: Iterable[Heartbeat]) -> List[MetricFamily]:
         ),
     ]
     cpu_samples = [
-        (labels(beat), float(beat.cpu_s)) for beat in beats if beat.cpu_s is not None
+        (labels, float(beat.cpu_s)) for labels, beat in labelled if beat.cpu_s is not None
     ]
     if cpu_samples:
         families.append(
@@ -585,8 +601,11 @@ class MetricsServer:
     freshly re-read heartbeat files, so the endpoint reflects mid-run
     state without any coupling to the runner.  ``port=0`` binds an
     ephemeral port; read :attr:`port`/:attr:`url` after :meth:`start`.
-    Usable as a context manager.
+    Usable as a context manager.  Subclasses serve other routes by
+    overriding :meth:`_handler` (the job service's HTTP API does).
     """
+
+    _path = "/metrics"
 
     def __init__(
         self,
@@ -602,11 +621,9 @@ class MetricsServer:
 
     @property
     def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
+        return f"http://{self.host}:{self.port}{self._path}"
 
-    def start(self) -> "MetricsServer":
-        if self._server is not None:
-            return self
+    def _handler(self) -> type:
         collect = self._collect
 
         class Handler(BaseHTTPRequestHandler):
@@ -629,10 +646,16 @@ class MetricsServer:
             def log_message(self, *args) -> None:  # scrapes are not news
                 pass
 
-        self._server = ThreadingHTTPServer((self.host, self.port), Handler)
+        return Handler
+
+    def start(self) -> "MetricsServer":
+        if self._server is not None:
+            return self
+        self._server = ThreadingHTTPServer((self.host, self.port), self._handler())
         self.port = self._server.server_address[1]
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.1},
             name="repro-metrics-server",
             daemon=True,
         )

@@ -131,7 +131,7 @@ def _sleeper_worker(task):
 class TestTimeouts:
     def test_hung_worker_is_killed_and_quarantined(self):
         supervisor = SupervisorConfig(
-            workers=2, shards=2, timeout_s=0.2, max_retries=0, poll_s=0.02
+            workers=2, shards=2, timeout_s=0.2, max_retries=0
         )
         result = run_supervised_ensemble(
             PROTOCOL, CONFIG, MAX_ROUNDS, make_rng(7), REPLICAS,

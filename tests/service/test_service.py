@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
+import types
 import urllib.error
 import urllib.request
 
@@ -24,13 +26,17 @@ from repro.service import (
     validate_spec,
 )
 from repro.service.jobstore import JobStoreError
+from repro.service.worker import execute_job
 
 FAST = {"kind": "ensemble", "protocol": "voter", "n": 30, "replicas": 4,
         "max_rounds": 3000, "seed": 7}
+# Runs far longer than any test; shutdown stops it.
+LONG = {"kind": "ensemble", "protocol": "voter", "n": 5000, "replicas": 4000,
+        "max_rounds": 10_000_000, "seed": 3, "checkpoint_every": 10**9}
 
 
 def quick_config(**overrides) -> ServiceConfig:
-    defaults = dict(workers=2, poll_s=0.01, backoff_base_s=0.01,
+    defaults = dict(workers=2, backoff_base_s=0.01,
                     backoff_cap_s=0.05)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -71,6 +77,37 @@ class TestValidateSpec:
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(SpecError, match="positive"):
             validate_spec({"n": 0})
+
+    @pytest.mark.parametrize("payload", [
+        {"x0": "abc"},
+        {"x0": [1]},
+        {"heartbeat_every_s": "x"},
+        {"kind": "sweep", "sweep": {"param": "n", "values": ["a"]}},
+        {"checkpoint_every": 0},
+        {"heartbeat_every_s": -1},
+    ])
+    def test_malformed_numbers_are_spec_errors(self, payload):
+        with pytest.raises(SpecError):
+            validate_spec(payload)
+
+
+class TestExecuteJob:
+    @pytest.mark.parametrize("param, values, seeds", [
+        ("n", [20, 30], [7, 8]),
+        ("replicas", [2, 3], [7, 8]),
+        ("seed", [4, 9], [4, 9]),
+    ])
+    def test_sweep_points_match_single_ensembles(self, tmp_path, param, values, seeds):
+        spec = validate_spec(
+            {**FAST, "kind": "sweep", "sweep": {"param": param, "values": values}}
+        )
+        points = execute_job(spec, tmp_path / "sweep")["points"]
+        for index, (value, seed) in enumerate(zip(values, seeds)):
+            single = execute_job(
+                validate_spec({**FAST, param: value, "seed": seed}),
+                tmp_path / f"point{index}",
+            )
+            assert points[index] == {param: value, "stats": single["stats"]}
 
 
 class TestExitTaxonomy:
@@ -131,6 +168,34 @@ class TestLifecycle:
         )
         assert requeued.backoff_s == expected
         assert requeued.not_before > 0
+
+    def test_submissions_dispatch_at_once_beside_a_busy_worker(self, tmp_path):
+        svc = Service(tmp_path / "svc", quick_config(workers=2))
+        guard = types.SimpleNamespace(requested=False)
+        loop = threading.Thread(target=svc.run, args=(guard,))
+        loop.start()
+        try:
+            busy = svc.submit(LONG)
+            deadline = time.monotonic() + 30
+            while svc.store.get(busy.id).state == "queued":
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            # One worker stays busy; each new job must take the free one
+            # at once, not when the busy worker's wait times out.
+            for _ in range(3):
+                job = svc.submit(FAST)
+                submitted = time.monotonic()
+                while svc.store.get(job.id).state == "queued":
+                    time.sleep(0.002)
+                assert time.monotonic() - submitted < 0.2
+                deadline = time.monotonic() + 60
+                while svc.store.get(job.id).state != "done":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+        finally:
+            guard.requested = True
+            loop.join(timeout=30)
+        assert not loop.is_alive()
 
     def test_cancel_queued_job(self, tmp_path):
         svc = Service(tmp_path / "svc", quick_config(workers=0))
@@ -239,10 +304,7 @@ class TestRecovery:
             if (svc.store.job_dir(job.id) / "job.ckpt").exists():
                 break
             time.sleep(0.005)
-        process = svc._children.get(job.id)
-        if process is not None:
-            process.kill()
-            process.join(timeout=5.0)
+        svc.pool.kill(job.id)
         svc.store.close()  # abandon without reaping: a crash, effectively
 
         recovered = Service(tmp_path / "svc", quick_config(workers=1))
@@ -266,7 +328,7 @@ class TestShutdown:
              "checkpoint_every": 10**9}
         )
         deadline = time.monotonic() + 60
-        while time.monotonic() < deadline and job.id not in svc._children:
+        while time.monotonic() < deadline and job.id not in svc.pool.running():
             svc.tick()
             time.sleep(0.005)
         svc.shutdown()
@@ -335,10 +397,12 @@ class TestHTTPAPI:
         assert poller["doc"]["state"] == "done"
 
     def test_bad_submission_is_a_400(self, api):
-        _, url = api
-        with pytest.raises(urllib.error.HTTPError) as err:
-            self.post(f"{url}/jobs", {"kind": "nope"})
-        assert err.value.code == 400
+        service, url = api
+        for payload in ({"kind": "nope"}, {**FAST, "x0": "abc"}):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                self.post(f"{url}/jobs", payload)
+            assert err.value.code == 400
+        assert service.store.counts()["queued"] == 0
 
     def test_unknown_job_is_a_404(self, api):
         _, url = api
@@ -372,6 +436,38 @@ class TestHTTPAPI:
         assert "version=0.0.4" in content_type
         validate_exposition(text)
         assert "repro_service_jobs" in text
+
+    def test_metrics_series_are_unique_after_draining_jobs(self, api):
+        from repro.telemetry.prometheus import validate_exposition
+
+        service, url = api
+        for seed in range(3):
+            self.post(f"{url}/jobs", {**FAST, "seed": seed})
+        assert service.drain(timeout_s=60)
+        with urllib.request.urlopen(f"{url}/metrics") as response:
+            text = response.read().decode()
+        series = [
+            line.rsplit(" ", 1)[0]
+            for line in text.splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert len(series) == len(set(series))
+        validate_exposition(text)
+
+    def test_metrics_label_live_job_heartbeats_by_job(self, tmp_path):
+        svc = Service(tmp_path / "svc", quick_config(workers=1))
+        try:
+            job = svc.submit(LONG)
+            deadline = time.monotonic() + 30
+            while f'job="{job.id}"' not in svc.metrics_text():
+                assert time.monotonic() < deadline
+                svc.tick()
+                time.sleep(0.01)
+            assert 'repro_heartbeat_up{role="job",job="%s"} 1' % job.id in (
+                svc.metrics_text()
+            )
+        finally:
+            svc.shutdown()
 
     def test_healthz_and_compact(self, api):
         service, url = api

@@ -207,6 +207,17 @@ class TestValidatorRejections:
             '# HELP a h\n# TYPE a gauge\na{x="\\t"} 1\n', "bad escape"
         )
 
+    def test_duplicate_series(self):
+        self.assert_rejects(
+            '# HELP a h\n# TYPE a gauge\na{x="1",y="2"} 1\na{y="2",x="1"} 2\n',
+            "duplicate series",
+        )
+        self.assert_rejects(
+            "# HELP a h\n# TYPE a gauge\na 1\na 2\n", "duplicate series"
+        )
+        # Same name, different label values: distinct series, accepted.
+        validate_exposition('# HELP a h\n# TYPE a gauge\na{x="1"} 1\na{x="2"} 2\n')
+
     def test_duplicate_label_name(self):
         self.assert_rejects(
             '# HELP a h\n# TYPE a gauge\na{x="1",x="2"} 1\n', "duplicate label"
